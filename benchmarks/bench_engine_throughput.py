@@ -14,6 +14,8 @@ Probe mix (chosen to exercise the dispatch fast path):
   (the shape of a typical event counter).
 * ``3 probes`` — selective + a no-override null probe + a probe
   overriding every callback (the shape of ProfileMe + ground truth).
+  Its fetch callback takes the cycle's ``FetchGroup`` and never asks
+  for ``group.slots``, so no per-slot object is built.
 
 For each configuration the report includes the number of probe-callback
 invocations the engine actually performs and the number the legacy
@@ -55,7 +57,7 @@ class FullProbe(Probe):
     def __init__(self):
         self.counts = dict.fromkeys(CALLBACKS, 0)
 
-    def on_fetch_slots(self, cycle, slots):
+    def on_fetch_slots(self, cycle, group):
         self.counts["on_fetch_slots"] += 1
 
     def on_issue(self, dyninst, cycle):

@@ -17,7 +17,7 @@ nothing in ``repro.profileme`` reads it.
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.cpu.probes import Probe, SLOT_INST
+from repro.cpu.probes import Probe
 from repro.events import Event
 
 # The event kinds tracked per PC (a dict per PC would be slow).
@@ -74,11 +74,11 @@ class GroundTruthCollector(Probe):
 
     # ------------------------------------------------------------------
 
-    def on_fetch_slots(self, cycle, slots):
-        for slot in slots:
-            if slot.kind == SLOT_INST:
-                self._truth(slot.dyninst.pc).fetched += 1
-                self.total_fetched += 1
+    def on_fetch_slots(self, cycle, group):
+        insts = group.insts
+        for dyninst in insts:
+            self._truth(dyninst.pc).fetched += 1
+        self.total_fetched += len(insts)
 
     def _record_done(self, dyninst):
         truth = self._truth(dyninst.pc)

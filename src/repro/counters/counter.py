@@ -20,7 +20,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.cpu.probes import Probe, SLOT_INST
+from repro.cpu.probes import Probe
 from repro.errors import ConfigError
 from repro.events import Event
 from repro.utils.rng import SamplingRng
@@ -158,13 +158,13 @@ class EventCounter(Probe):
     # ------------------------------------------------------------------
     # Probe callbacks.
 
-    def on_fetch_slots(self, cycle, slots):
+    def on_fetch_slots(self, cycle, group):
         predicate = _FETCH_EVENTS.get(self.config.event)
         if predicate is None:
             return
-        for slot in slots:
-            if slot.kind == SLOT_INST and predicate(slot.dyninst):
-                self._count(slot.dyninst, cycle)
+        for dyninst in group.insts:
+            if predicate(dyninst):
+                self._count(dyninst, cycle)
 
     def on_issue(self, dyninst, cycle):
         predicate = _ISSUE_EVENTS.get(self.config.event)

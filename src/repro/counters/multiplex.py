@@ -20,7 +20,7 @@ from typing import List
 
 from repro.counters.counter import (_FETCH_EVENTS, _ISSUE_EVENTS,
                                     _RETIRE_EVENTS, CounterEvent)
-from repro.cpu.probes import Probe, SLOT_INST
+from repro.cpu.probes import Probe
 from repro.errors import ConfigError
 
 
@@ -74,11 +74,11 @@ class MultiplexedCounters(Probe):
         if event_kind in self._active:
             self.counts[event_kind] += 1
 
-    def on_fetch_slots(self, cycle, slots):
+    def on_fetch_slots(self, cycle, group):
         for event_kind, predicate in _FETCH_EVENTS.items():
             if event_kind in self._active and event_kind in self.counts:
-                for slot in slots:
-                    if slot.kind == SLOT_INST and predicate(slot.dyninst):
+                for dyninst in group.insts:
+                    if predicate(dyninst):
                         self.counts[event_kind] += 1
 
     def on_issue(self, dyninst, cycle):

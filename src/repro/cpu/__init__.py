@@ -6,11 +6,12 @@ from repro.cpu.functional import FunctionalProfiler, FunctionalRun
 from repro.cpu.inorder.core import InOrderCore
 from repro.cpu.ooo.core import OutOfOrderCore
 from repro.cpu.smt import SmtCore, smt_speedup
-from repro.cpu.probes import (SLOT_EMPTY, SLOT_INST, SLOT_OFFPATH, FetchSlot,
-                              Probe)
+from repro.cpu.probes import (SLOT_EMPTY, SLOT_INST, SLOT_OFFPATH, FetchGroup,
+                              FetchSlot, Probe)
 
 __all__ = [
     "DynInst",
+    "FetchGroup",
     "FetchSlot",
     "FunctionalProfiler",
     "FunctionalRun",

@@ -24,7 +24,7 @@ from repro.branch.history import GlobalHistoryRegister
 from repro.branch.predictors import BranchPredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.dynops import DynInst
-from repro.cpu.probes import inst_slot
+from repro.cpu.probes import FetchGroup
 from repro.engine.core import CoreBase
 from repro.errors import SimulationError
 from repro.events import Event
@@ -200,9 +200,12 @@ class InOrderCore(CoreBase):
 
         bus = self.bus
         if bus.fetch_slots:
-            slots = [inst_slot(dyninst)]
+            # One instruction per fetch group: the greedy model advances
+            # an instruction at a time, so its block is one slot wide.
+            group = FetchGroup([dyninst], 1, dyninst.pc, dyninst.pc, False,
+                               self.context)
             for callback in bus.fetch_slots:
-                callback(dyninst.fetch_cycle, slots)
+                callback(dyninst.fetch_cycle, group)
         for callback in bus.issue:
             callback(dyninst, issue)
         for callback in bus.retire:

@@ -34,7 +34,7 @@ from repro.cpu.dynops import DynInst
 from repro.cpu.ooo.lsq import BLOCK, CLEAR, FORWARD, LoadStoreQueue
 from repro.cpu.ooo.rename import RegisterRenamer
 from repro.cpu.ooo.wheel import EventWheel
-from repro.cpu.probes import empty_slot, inst_slot, offpath_slot
+from repro.cpu.probes import FetchGroup
 from repro.engine.core import CoreBase
 from repro.errors import SimulationError
 from repro.events import AbortReason, Event
@@ -70,9 +70,9 @@ class OutOfOrderCore(CoreBase):
     """Execution-driven out-of-order processor model."""
 
     def __init__(self, program, config=None, hierarchy=None, predictor=None,
-                 context=0, ghr=None):
+                 context=0, ghr=None, bus=None):
         super().__init__(config or MachineConfig.alpha21264_like(),
-                         context=context)
+                         context=context, bus=bus)
         self.program = program
         self.hierarchy = hierarchy or MemoryHierarchy(self.config.memory)
         self.predictor = predictor or BranchPredictor(self.config.predictor)
@@ -210,12 +210,12 @@ class OutOfOrderCore(CoreBase):
 
     def _fetch(self, cycle):
         width = self.config.fetch_width
-        # Fast path: fetch-slot objects exist only for observers.  With
-        # no on_fetch_slots subscriber the fetcher skips building them
-        # (and the publish) entirely — this fires every cycle, so it is
-        # the single hottest dispatch point in the model.
+        # Fast path: fetch groups exist only for observers.  With no
+        # on_fetch_slots subscriber the fetcher skips building them (and
+        # the publish) entirely — this fires every cycle, so it is the
+        # single hottest dispatch point in the model.  Subscribers get
+        # one FetchGroup per cycle; its per-slot view is built lazily.
         publish = self.bus.fetch_slots
-        slots = [] if publish else None
         can_fetch = (cycle >= self.fetch_stall_until
                      and self.fetch_pc is not None
                      and len(self.fetch_queue) + width
@@ -230,26 +230,18 @@ class OutOfOrderCore(CoreBase):
 
         if not can_fetch:
             if publish:
-                self._publish_slots(cycle, [empty_slot()] * width)
+                group = FetchGroup((), width, None, None, False,
+                                   self.context)
+                for callback in publish:
+                    callback(cycle, group)
             return
 
         block_bytes = width * INSTRUCTION_BYTES
-        block_start = self.fetch_pc & ~(block_bytes - 1)
+        entry_pc = pc = self.fetch_pc
+        block_start = pc & ~(block_bytes - 1)
         block_end = block_start + block_bytes
 
-        # Opportunities before the entry point into the block hold
-        # instructions that are in the fetch block but off the predicted
-        # path (section 4.1.1).
-        pc = block_start
-        if publish:
-            while pc < self.fetch_pc:
-                slots.append(offpath_slot(pc)
-                             if self.program.contains_pc(pc)
-                             else empty_slot())
-                pc += INSTRUCTION_BYTES
-        else:
-            pc = self.fetch_pc
-
+        insts = [] if publish else None
         taken = False
         fetch_or_none = self.program.fetch_or_none
         enqueue = self.fetch_queue.append
@@ -264,7 +256,7 @@ class OutOfOrderCore(CoreBase):
                 break
             dyninst = self._make_dyninst(pc, inst, cycle)
             if publish:
-                slots.append(inst_slot(dyninst))
+                insts.append(dyninst)
             enqueue(dyninst)
             self.fetched += 1
             next_pc = predict(dyninst)
@@ -272,19 +264,11 @@ class OutOfOrderCore(CoreBase):
             taken = next_pc != pc
             self.fetch_pc = next_pc
 
-        if not publish:
-            return
-        if taken:
-            # Slots after a predicted-taken branch hold off-path
-            # instructions from the same block.
-            while pc < block_end:
-                slots.append(offpath_slot(pc)
-                             if self.program.contains_pc(pc)
-                             else empty_slot())
-                pc += INSTRUCTION_BYTES
-        while len(slots) < width:
-            slots.append(empty_slot())
-        self._publish_slots(cycle, slots)
+        if publish:
+            group = FetchGroup(insts, width, block_start, entry_pc, taken,
+                               self.context, self.program.pc_limit)
+            for callback in publish:
+                callback(cycle, group)
 
     def _make_dyninst(self, pc, inst, cycle):
         dyninst = DynInst(seq=self.next_seq, pc=pc, inst=inst,
@@ -337,10 +321,6 @@ class OutOfOrderCore(CoreBase):
             dyninst.predicted_target = target
             return target
         return fall_through
-
-    def _publish_slots(self, cycle, slots):
-        for callback in self.bus.fetch_slots:
-            callback(cycle, slots)
 
     # ------------------------------------------------------------------
     # Map (decode/rename/dispatch).

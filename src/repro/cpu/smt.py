@@ -21,7 +21,10 @@ with `smt_speedup`.
 One ProfileMe unit attaches to the whole machine (as the hardware
 would): it samples the merged fetch stream and the Profiled Context
 Register stamps each record with its thread, so per-thread profiles fall
-out of one sampling infrastructure.
+out of one sampling infrastructure.  The thread cores are built on the
+machine's own probe bus, so their fetch groups, issues, retires and
+aborts reach the machine's observers directly — and an unobserved
+machine pays for none of them.
 """
 
 from typing import List
@@ -29,36 +32,9 @@ from typing import List
 from repro.branch.predictors import BranchPredictor
 from repro.cpu.config import MachineConfig
 from repro.cpu.ooo.core import OutOfOrderCore
-from repro.cpu.probes import Probe
 from repro.engine.core import CoreBase
 from repro.errors import ConfigError
 from repro.mem.hierarchy import MemoryHierarchy
-
-
-class _Relay(Probe):
-    """Forwards one thread core's probe events onto the SMT-level bus.
-
-    Cycle ends are suppressed: the SMT machine announces its own, once.
-    """
-
-    def __init__(self, bus):
-        self._bus = bus
-
-    def on_fetch_slots(self, cycle, slots):
-        for callback in self._bus.fetch_slots:
-            callback(cycle, slots)
-
-    def on_issue(self, dyninst, cycle):
-        for callback in self._bus.issue:
-            callback(dyninst, cycle)
-
-    def on_retire(self, dyninst, cycle):
-        for callback in self._bus.retire:
-            callback(dyninst, cycle)
-
-    def on_abort(self, dyninst, cycle):
-        for callback in self._bus.abort:
-            callback(dyninst, cycle)
 
 
 class SmtCore(CoreBase):
@@ -95,11 +71,14 @@ class SmtCore(CoreBase):
         self.predictor = BranchPredictor(self.config.predictor)
         self.threads: List[OutOfOrderCore] = []
         for index, program in enumerate(programs):
+            # Thread cores publish on the machine's bus: observers attach
+            # once, to the machine, and an unobserved machine leaves every
+            # thread on the no-probe fast path.  Thread cores never run
+            # step_cycle here, so cycle ends come from the machine alone.
             core = OutOfOrderCore(program, config=thread_config,
                                   hierarchy=self.hierarchy,
                                   predictor=self.predictor,
-                                  context=index)
-            core.add_probe(_Relay(self.bus))
+                                  context=index, bus=self.bus)
             self.threads.append(core)
 
     # ------------------------------------------------------------------

@@ -10,10 +10,10 @@ cycle, so that overhead sat directly on the simulator's hottest loop.
 callbacks the probe actually implements and builds one subscriber list
 per callback.  The cores iterate the (usually short, often empty) lists
 of bound methods directly; an empty list means the core can skip not
-just the dispatch but the *event construction* (e.g. building fetch-slot
-objects nobody will look at).  This is the subscription-over-core
-structure mature simulators use for introspection (cf. the Simics probe
-framework).
+just the dispatch but the *event construction* (e.g. building the
+per-cycle :class:`~repro.cpu.probes.FetchGroup` nobody will look at).
+This is the subscription-over-core structure mature simulators use for
+introspection (cf. the Simics probe framework).
 """
 
 from repro.cpu.probes import Probe
@@ -94,23 +94,3 @@ class ProbeBus:
         """The callback names *probe* is subscribed to (for tests/tools)."""
         return tuple(name for name in PROBE_CALLBACKS
                      if probe_overrides(probe, name))
-
-    def publish_fetch_slots(self, cycle, slots):
-        for callback in self.fetch_slots:
-            callback(cycle, slots)
-
-    def publish_issue(self, dyninst, cycle):
-        for callback in self.issue:
-            callback(dyninst, cycle)
-
-    def publish_retire(self, dyninst, cycle):
-        for callback in self.retire:
-            callback(dyninst, cycle)
-
-    def publish_abort(self, dyninst, cycle):
-        for callback in self.abort:
-            callback(dyninst, cycle)
-
-    def publish_cycle_end(self, cycle):
-        for callback in self.cycle_end:
-            callback(cycle)

@@ -24,10 +24,12 @@ from repro.errors import SimulationError
 class CoreBase:
     """Common machinery for every execution substrate."""
 
-    def __init__(self, config, context=0):
+    def __init__(self, config, context=0, bus=None):
         self.config = config
         self.context = context  # hardware context id (SMT thread / process)
-        self.bus = ProbeBus()
+        # A machine built from member cores (SMT) hands them its own bus,
+        # so every member publishes straight to the machine's observers.
+        self.bus = ProbeBus() if bus is None else bus
         self.cycle = 0
         self.next_seq = 0
         self.fetch_stall_until = 0

@@ -16,6 +16,14 @@ are implemented:
 
 The yield difference between the two modes is quantified by
 ``benchmarks/bench_ablation_fetch_modes.py``.
+
+The counter is a countdown, so software need not model it slot by slot:
+:meth:`FetchedInstructionCounter.skip_ahead` subtracts a whole fetch
+group's count (its instructions, or its ``width`` opportunities) in one
+step whenever the counter cannot reach zero inside that group.  Only the
+group it fires in is walked slot by slot with
+:meth:`~FetchedInstructionCounter.tick`, which is what keeps an idle
+profiling unit's cost per fetch cycle constant.
 """
 
 import enum
@@ -38,6 +46,7 @@ class FetchedInstructionCounter:
         if not isinstance(mode, CountMode):
             raise ConfigError("mode must be a CountMode, got %r" % (mode,))
         self.mode = mode
+        self._counts_insts = mode is CountMode.INSTRUCTIONS
         self._remaining = None  # None = disarmed
 
     @property
@@ -57,7 +66,7 @@ class FetchedInstructionCounter:
         """Advance over one fetch slot; True if the counter fired on it."""
         if self._remaining is None:
             return False
-        if self.mode is CountMode.INSTRUCTIONS and slot.kind != SLOT_INST:
+        if self._counts_insts and slot.kind != SLOT_INST:
             return False
         self._remaining -= 1
         if self._remaining == 0:
@@ -65,14 +74,29 @@ class FetchedInstructionCounter:
             return True
         return False
 
-    def consume(self, slots):
-        """Advance over one cycle's fetch slots.
+    def span(self, group):
+        """How many of *group*'s slots this counter decrements on."""
+        return len(group.insts) if self._counts_insts else group.width
 
-        Returns the index of the selected slot, or None if the counter did
-        not reach zero this cycle.  The caller decides what to do when the
-        selected slot holds no usable instruction.
+    def fires_in(self, group):
+        """True if the counter reaches zero inside fetch *group*."""
+        remaining = self._remaining
+        return remaining is not None and remaining <= self.span(group)
+
+    def skip_ahead(self, group):
+        """Advance over all of fetch *group* in one step, if it can.
+
+        Returns True when the counter did not reach zero inside the
+        group and has been decremented past it (a disarmed counter skips
+        trivially).  Returns False, leaving the counter untouched, when
+        it fires inside the group: the caller then walks
+        ``group.slots`` with :meth:`tick` to find the selected slot.
         """
-        for index, slot in enumerate(slots):
-            if self.tick(slot):
-                return index
-        return None
+        remaining = self._remaining
+        if remaining is None:
+            return True
+        count = self.span(group)
+        if remaining <= count:
+            return False
+        self._remaining = remaining - count
+        return True

@@ -217,10 +217,28 @@ class ProfileMeUnit(Probe):
     # ------------------------------------------------------------------
     # Fetch-side selection.
 
-    def on_fetch_slots(self, cycle, slots):
-        for slot in slots:
+    def on_fetch_slots(self, cycle, fetch):
+        # Both counters are countdowns: a fetch group neither of them
+        # can fire in is skipped in one subtraction, and only the group
+        # one fires in is walked slot by slot.  The minor counter is
+        # armed exactly while a group is selecting its members.
+        major = self.major
+        if self._selecting_group is None:
+            if major.skip_ahead(fetch):
+                return
+        elif not (major.fires_in(fetch) or self.minor.fires_in(fetch)):
+            major.skip_ahead(fetch)
+            self.minor.skip_ahead(fetch)
+            return
+        self._walk(cycle, fetch)
+
+    def _walk(self, cycle, fetch):
+        """Tick both counters over *fetch*'s slots, acting where they fire."""
+        context = fetch.context
+        for slot in fetch.slots:
             if self.minor.armed and self.minor.tick(slot):
-                self._select_member(self._selecting_group, slot, cycle)
+                self._select_member(self._selecting_group, slot, cycle,
+                                    context)
             if self.major.tick(slot):
                 self.stats.selections += 1
                 if (len(self._groups) >= self.config.register_sets
@@ -230,20 +248,16 @@ class ProfileMeUnit(Probe):
                     # dropped so the next interval starts on schedule.
                     self.stats.dropped_busy += 1
                 else:
-                    self._start_group(slot, cycle)
+                    self._start_group(slot, cycle, context)
                 if self.auto_rearm:
                     self._arm_major()
 
-    def _start_group(self, slot, cycle):
+    def _start_group(self, slot, cycle, context):
         group = _SampleGroup(self.config.effective_group_size)
         self._groups.append(group)
         self.stats.max_concurrent_groups = max(
             self.stats.max_concurrent_groups, len(self._groups))
-        self._select_member(group, slot, cycle)
-        if slot.kind == SLOT_EMPTY and group.size == 1:
-            # Nothing in flight: the attempt is wasted immediately.
-            self._groups.remove(group)
-            return
+        self._select_member(group, slot, cycle, context)
         if slot.kind == SLOT_EMPTY and group.selections == 1:
             # An empty *first* selection abandons the whole group: there
             # is no anchor instruction to pair against.
@@ -251,7 +265,7 @@ class ProfileMeUnit(Probe):
             return
         self._continue_or_settle(group)
 
-    def _select_member(self, group, slot, cycle):
+    def _select_member(self, group, slot, cycle, context):
         ordinal = group.selections
         group.selections += 1
         group.fetch_cycles[ordinal] = cycle
@@ -269,7 +283,8 @@ class ProfileMeUnit(Probe):
             # path: the decoder discards it.  ProfileMe still produces a
             # record showing the immediate abort.
             self.stats.offpath_selections += 1
-            group.records[ordinal] = self._offpath_record(slot.pc, cycle)
+            group.records[ordinal] = self._offpath_record(slot.pc, cycle,
+                                                          context)
         else:
             assert slot.kind == SLOT_EMPTY
             self.stats.empty_selections += 1
@@ -284,9 +299,13 @@ class ProfileMeUnit(Probe):
         elif group.done:
             self._complete_group(group)
 
-    def _offpath_record(self, pc, cycle):
+    def _offpath_record(self, pc, cycle, context):
+        # The Profiled Context Register holds the fetching context (or
+        # the fixed value a per-context unit was configured with).
+        if self.config.context is not None:
+            context = self.config.context
         return ProfileRecord(
-            context=self.config.context or 0,
+            context=context,
             pc=pc,
             op=None,
             addr=None,
@@ -307,14 +326,15 @@ class ProfileMeUnit(Probe):
     # Completion side.
 
     def on_retire(self, dyninst, cycle):
-        self._maybe_capture(dyninst, cycle)
+        # Untagged instructions are the common case: test inline.
+        if dyninst.profile_tag is not None:
+            self._maybe_capture(dyninst, cycle)
 
     def on_abort(self, dyninst, cycle):
-        self._maybe_capture(dyninst, cycle)
+        if dyninst.profile_tag is not None:
+            self._maybe_capture(dyninst, cycle)
 
     def _maybe_capture(self, dyninst, cycle):
-        if dyninst.profile_tag is None:
-            return
         entry = self._pending.pop(id(dyninst), None)
         if entry is None:
             return

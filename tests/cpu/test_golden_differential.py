@@ -72,6 +72,10 @@ def iter_cases():
         for core_kind in ("ooo", "inorder"):
             yield "%s/%s/no-probe" % (name, core_kind), \
                 (name,), core_kind, None
+    # The SMT machine's thread cores publish on the machine's bus, so an
+    # unobserved SMT run takes the same fast path; pin it too.
+    for pair in SMT_PAIRS:
+        yield "%s+%s/smt/no-probe" % pair, pair, "smt", None
 
 
 CASES = list(iter_cases())

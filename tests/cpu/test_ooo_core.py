@@ -23,8 +23,8 @@ class RecordingProbe(Probe):
         self.issued = []
         self.slots = []
 
-    def on_fetch_slots(self, cycle, slots):
-        self.slots.append((cycle, slots))
+    def on_fetch_slots(self, cycle, group):
+        self.slots.append((cycle, group.slots))
 
     def on_issue(self, dyninst, cycle):
         self.issued.append(dyninst)

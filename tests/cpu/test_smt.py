@@ -3,11 +3,13 @@
 import pytest
 
 from repro.cpu.ooo.core import OutOfOrderCore
+from repro.cpu.probes import FetchGroup, Probe
 from repro.cpu.smt import SmtCore, smt_speedup
 from repro.errors import ConfigError
 from repro.harness import ProfileMeDriver
 from repro.isa.interpreter import Interpreter
 from repro.analysis.database import ProfileDatabase
+from repro.profileme.fetch_counter import CountMode
 from repro.profileme.unit import ProfileMeConfig, ProfileMeUnit
 from repro.workloads import classic_kernel, suite_program
 
@@ -115,3 +117,68 @@ class TestProfileMeOnSmt:
                        / (smt.threads[0].fetched + smt.threads[1].fetched))
         sample_share = by_context[0] / sum(by_context.values())
         assert abs(sample_share - fetch_share) < 0.1
+
+    def test_offpath_records_carry_the_fetching_context(self):
+        programs = [suite_program("compress", scale=1),
+                    suite_program("li", scale=1)]
+        smt = SmtCore(programs)
+
+        class FetcherLog(Probe):
+            """Which context fetched in each cycle (one fetches per cycle)."""
+
+            def __init__(self):
+                self.by_cycle = {}
+
+            def on_fetch_slots(self, cycle, group):
+                self.by_cycle[cycle] = group.context
+
+        fetchers = smt.add_probe(FetcherLog())
+        driver = ProfileMeDriver()
+        smt.add_probe(ProfileMeUnit(
+            ProfileMeConfig(mean_interval=40, seed=5,
+                            mode=CountMode.FETCH_OPPORTUNITIES),
+            handler=driver.handle_interrupt))
+        smt.run()
+
+        offpath = [r for r in driver.all_single_records() if r.op is None]
+        assert offpath
+        for record in offpath:
+            assert record.context == fetchers.by_cycle[record.fetch_cycle]
+            assert programs[record.context].contains_pc(record.pc)
+        assert {record.context for record in offpath} == {0, 1}
+
+
+class TestSharedProbeBus:
+    def _programs(self):
+        return [suite_program("compress", scale=1),
+                classic_kernel("daxpy", n=96)[0]]
+
+    def test_threads_publish_on_the_machine_bus(self):
+        smt = SmtCore(self._programs())
+        assert all(core.bus is smt.bus for core in smt.threads)
+        assert smt.probes == []
+
+    def test_unprofiled_smt_builds_no_fetch_groups(self, monkeypatch):
+        built = []
+        init = FetchGroup.__init__
+
+        def counting_init(group, *args):
+            built.append(args[5])  # the fetching context
+            init(group, *args)
+
+        monkeypatch.setattr(FetchGroup, "__init__", counting_init)
+        SmtCore(self._programs()).run()
+        assert built == []
+
+        # The same count sees every fetch cycle once something listens.
+        class FetchCounter(Probe):
+            calls = 0
+
+            def on_fetch_slots(self, cycle, group):
+                self.calls += 1
+
+        smt = SmtCore(self._programs())
+        listener = smt.add_probe(FetchCounter())
+        smt.run()
+        assert len(built) == listener.calls > 0
+        assert set(built) == {0, 1}

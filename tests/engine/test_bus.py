@@ -23,7 +23,7 @@ class FullProbe(Probe):
     def __init__(self):
         self.calls = {name: 0 for name in PROBE_CALLBACKS}
 
-    def on_fetch_slots(self, cycle, slots):
+    def on_fetch_slots(self, cycle, group):
         self.calls["on_fetch_slots"] += 1
 
     def on_issue(self, dyninst, cycle):

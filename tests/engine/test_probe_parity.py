@@ -31,8 +31,8 @@ class RecordingProbe(Probe):
         self.cycle_ends = []    # cycle
         self.first_seen = {}    # id(dyninst) -> issue cycle
 
-    def on_fetch_slots(self, cycle, slots):
-        self.fetch_slots.append((cycle, [s.kind for s in slots]))
+    def on_fetch_slots(self, cycle, group):
+        self.fetch_slots.append((cycle, [s.kind for s in group.slots]))
 
     def on_issue(self, dyninst, cycle):
         self.issues.append((cycle, dyninst.pc))
