@@ -35,6 +35,13 @@ class GlobalHistoryRegister:
         """Roll back to a previously captured snapshot (mispredict repair)."""
         self.value, self.shifted = snapshot
 
+    def clone(self):
+        """An independent register with the same width and contents."""
+        twin = GlobalHistoryRegister(self.bits)
+        twin.value = self.value
+        twin.shifted = self.shifted
+        return twin
+
     def low_bits(self, count):
         """The *count* most recent directions (LSB = most recent)."""
         if count > self.bits:

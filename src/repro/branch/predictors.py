@@ -14,7 +14,9 @@ experiments.
 
 Warm-state contract: a :class:`BranchPredictor` instance (direction
 counters, BTB, RAS) is part of the cross-engine warm state
-(:class:`repro.cpu.warm.WarmState`).  In two-speed mode the functional
+(:class:`repro.cpu.warm.WarmState`), and every part of it implements
+``clone()`` (an independent copy of its mutable state; configs are
+shared).  In two-speed mode the functional
 fast-forward trains it at retire order and the detailed windows train it
 through their own fetch/retire pipeline; both engines tolerate the
 other's RAS skew exactly as the hardware tolerates squashed calls (see
@@ -83,6 +85,17 @@ class GshareDirectionPredictor:
     def accuracy(self):
         return ratio(self.correct, self.lookups)
 
+    def signature(self):
+        """Comparable digest of the counter table and the outcome tally."""
+        return (tuple(self._counters), self.lookups, self.correct)
+
+    def clone(self):
+        twin = GshareDirectionPredictor(self.config)
+        twin._counters = self._counters[:]
+        twin.lookups = self.lookups
+        twin.correct = self.correct
+        return twin
+
 
 class BranchTargetBuffer:
     """Direct-mapped PC -> predicted target store for indirect jumps."""
@@ -108,6 +121,12 @@ class BranchTargetBuffer:
         index = self._index(pc)
         self._tags[index] = pc
         self._targets[index] = target
+
+    def clone(self):
+        twin = BranchTargetBuffer(self._entries)
+        twin._tags = self._tags[:]
+        twin._targets = self._targets[:]
+        return twin
 
 
 class ReturnAddressStack:
@@ -135,6 +154,11 @@ class ReturnAddressStack:
         if not self._stack:
             return None
         return self._stack.pop()
+
+    def clone(self):
+        twin = ReturnAddressStack(self._entries)
+        twin._stack.extend(self._stack)
+        return twin
 
 
 class StaticDirectionPredictor:
@@ -175,12 +199,25 @@ class StaticDirectionPredictor:
     def accuracy(self):
         return ratio(self.correct, self.lookups)
 
+    def signature(self):
+        """Comparable digest of the hint table and the outcome tally."""
+        return (tuple(sorted(self._table.items())), self.lookups,
+                self.correct)
+
+    def clone(self):
+        # The table is fixed at construction, so the twin shares it.
+        twin = object.__new__(StaticDirectionPredictor)
+        twin._table = self._table
+        twin.lookups = self.lookups
+        twin.correct = self.correct
+        return twin
+
 
 class BranchPredictor:
     """Facade bundling direction predictor, BTB and RAS.
 
     *direction* overrides the default gshare direction predictor (any
-    object with predict/train/record_outcome), e.g. a
+    object with predict/train/record_outcome/signature/clone), e.g. a
     :class:`StaticDirectionPredictor` built from profile hints.
     """
 
@@ -189,6 +226,13 @@ class BranchPredictor:
         self.direction = direction or GshareDirectionPredictor(self.config)
         self.btb = BranchTargetBuffer(self.config.btb_entries)
         self.ras = ReturnAddressStack(self.config.ras_entries)
+
+    def clone(self):
+        """An independent predictor: config shared, every table copied."""
+        twin = BranchPredictor(self.config, self.direction.clone())
+        twin.btb = self.btb.clone()
+        twin.ras = self.ras.clone()
+        return twin
 
     def predict_conditional(self, pc, history):
         return self.direction.predict(pc, history)

@@ -20,6 +20,13 @@ What the contract covers (carried across hand-offs):
 * the global history register;
 * the I-fetch line cursor (``last_fetch_line``).
 
+Every model in the contract implements ``clone()``, an independent copy
+of its mutable state (configs are shared), and :meth:`WarmState.clone`
+composes them.  The batched two-speed driver gives each planned window
+its own clone, so no window sees another's detailed-core side effects.
+Caches keep only the sets a run touched, so a clone costs O(resident
+lines), not O(cache geometry).
+
 What it does **not** cover (owned by the detailed core per window):
 in-flight speculation, issue-queue/LSQ/ROB occupancy, rename state, and
 the free-running cycle counter.  Those are rebuilt by each window's
@@ -53,6 +60,14 @@ class WarmState:
         self.predictor = predictor or BranchPredictor()
         self.ghr = ghr or GlobalHistoryRegister(bits=self.GHR_BITS)
         self.last_fetch_line = None
+
+    def clone(self):
+        """An independent copy of every piece of contract state."""
+        twin = WarmState(hierarchy=self.hierarchy.clone(),
+                         predictor=self.predictor.clone(),
+                         ghr=self.ghr.clone())
+        twin.last_fetch_line = self.last_fetch_line
+        return twin
 
     def note_redirect(self):
         """Invalidate the I-fetch line cursor after a fetch redirect.
@@ -123,16 +138,18 @@ class WarmState:
     def signature(self):
         """Comparable digest of every piece of contract state.
 
-        Used by the warm-contract tests: two engines that claim to warm
-        the same state must produce equal signatures for the same
-        retired stream.
+        Covers contents, not just counters: the resident lines of every
+        cache, the resident TLB pages and the direction predictor's
+        tables.  Used by the warm-contract tests: two engines that claim
+        to warm the same state must produce equal signatures for the
+        same retired stream.
         """
         predictor = self.predictor
-        direction = getattr(predictor.direction, "_counters", None)
         return {
             "mem": self.hierarchy.stats(),
+            "resident": self.hierarchy.resident(),
             "ghr": self.ghr.value,
-            "direction": tuple(direction) if direction is not None else None,
+            "direction": predictor.direction.signature(),
             "btb": (tuple(predictor.btb._tags),
                     tuple(predictor.btb._targets)),
             "ras": tuple(predictor.ras._stack),

@@ -105,8 +105,9 @@ def _run_window_payload(plan):
 def run_windows(program, machine_config, profile, plans, workers=1):
     """Run planned two-speed windows; return results in plan order.
 
-    Windows are independent (each plan carries private architectural
-    and warm-state copies), so execution order and process placement
+    Windows are independent (each plan carries a private architectural
+    snapshot and a private ``WarmState.clone()``, and the window's core
+    runs on that clone), so execution order and process placement
     cannot change results: ``workers=1`` runs inline and ``workers=N``
     fans across processes, and the two are byte-equivalent
     (``tests/engine/test_twospeed_batched.py``).

@@ -34,7 +34,6 @@ bias rule the hardware unit applies to selections landing on busy
 register sets.
 """
 
-import copy
 import dataclasses
 
 from repro.analysis.concurrency import PairAnalyzer
@@ -268,14 +267,15 @@ class WindowPlan:
     """Everything one detailed window needs to run in isolation.
 
     Captured during the planning pass: the architectural state at the
-    window entry, a private deep copy of the warm microarchitectural
-    state, and the window's sampling parameters.  Plans are plain
-    picklable data, so they can ship to worker processes.
+    window entry, a private :meth:`~repro.cpu.warm.WarmState.clone` of
+    the warm microarchitectural state, and the window's sampling
+    parameters.  Plans are plain picklable data, so they can ship to
+    worker processes.
     """
 
     index: int
     snapshot: object  # ArchSnapshot at the window entry
-    warm: object  # WarmState deep copy (private to this window)
+    warm: object  # WarmState clone (private to this window)
     lead: int  # instructions until the armed sample fires
     limit: int  # retired-instruction budget for this window
 
@@ -298,7 +298,7 @@ def run_window(program, machine_config, profile, plan):
     """Run one planned detailed window; returns a :class:`WindowResult`.
 
     Windows are independent by construction: each adopts its own memory
-    copy and its own warm-state copy, so any execution order (or process
+    copy and its own warm-state clone, so any execution order (or process
     placement) produces identical results.
     """
     warm = plan.warm
@@ -397,7 +397,7 @@ def _run_two_speed_batched(spec):
             limit = min(limit, max_retired - total_retired)
         plans.append(WindowPlan(index=len(plans),
                                 snapshot=state.snapshot(),
-                                warm=copy.deepcopy(warm),
+                                warm=warm.clone(),
                                 lead=lead, limit=limit))
         # Advance functionally across the window extent: the committed
         # path is engine-independent, so this lands on exactly the

@@ -103,9 +103,10 @@ class Program:
         cores use :meth:`fetch_or_nop` on speculative (possibly garbage)
         paths instead.
         """
-        if not self.contains_pc(pc):
+        inst = self.fetch_or_none(pc)
+        if inst is None:
             raise ProgramError("PC %#x is not a valid instruction address" % pc)
-        return self.instructions[pc // INSTRUCTION_BYTES]
+        return inst
 
     def fetch_or_none(self, pc):
         """Return the instruction at *pc*, or None if *pc* is invalid.
@@ -114,10 +115,17 @@ class Program:
         hardware would take an access fault, which (like any other abort)
         simply kills the speculative instructions.  Returning None lets the
         fetcher model that without raising.
+
+        The OOO core calls this once per fetched instruction, so the
+        :meth:`contains_pc` test is inlined here.
         """
-        if not self.contains_pc(pc):
+        if pc < 0 or pc % INSTRUCTION_BYTES:
             return None
-        return self.instructions[pc // INSTRUCTION_BYTES]
+        index = pc // INSTRUCTION_BYTES
+        instructions = self.instructions
+        if index >= len(instructions):
+            return None
+        return instructions[index]
 
     def function_of_pc(self, pc):
         """Return the name of the function containing *pc*, or None.

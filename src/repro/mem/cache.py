@@ -6,6 +6,7 @@ values through registers and a sparse word memory, while the cache decides
 models and is all ProfileMe observes — hit/miss events and latencies.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
@@ -42,19 +43,21 @@ class CacheConfig:
 
 
 class Cache:
-    """One cache level.  ``access`` returns hit/miss and fills on miss."""
+    """One cache level.  ``access`` returns hit/miss and fills on miss.
+
+    Sets are sparse: ``_sets`` maps a set index to its MRU-first tag list
+    and holds only sets that ``access`` has touched.  Programs touch a
+    small fraction of a large L2's sets, so :meth:`clone` (taken once per
+    batched two-speed window) costs O(resident lines), not O(geometry).
+    """
 
     def __init__(self, config):
         self.config = config
-        self._sets = [[] for _ in range(config.num_sets)]
+        self._sets = defaultdict(list)
         self._line_shift = config.line_bytes.bit_length() - 1
         self._set_mask = config.num_sets - 1
         self.hits = 0
         self.misses = 0
-
-    def _locate(self, addr):
-        line = addr >> self._line_shift
-        return self._sets[line & self._set_mask], line
 
     def access(self, addr, fill=True):
         """Look up *addr*; return True on hit.
@@ -62,7 +65,8 @@ class Cache:
         On a miss with *fill*, the line is brought in, evicting the LRU way.
         MRU order is maintained by moving the hit tag to the list head.
         """
-        ways, line = self._locate(addr)
+        line = addr >> self._line_shift
+        ways = self._sets[line & self._set_mask]
         if line in ways:
             if ways[0] != line:
                 ways.remove(line)
@@ -78,12 +82,26 @@ class Cache:
 
     def probe(self, addr):
         """Non-destructive lookup: True if *addr* is resident (no LRU update)."""
-        ways, line = self._locate(addr)
-        return line in ways
+        line = addr >> self._line_shift
+        return line in self._sets.get(line & self._set_mask, ())
 
     def invalidate_all(self):
         """Empty the cache (cold restart)."""
-        self._sets = [[] for _ in range(self.config.num_sets)]
+        self._sets = defaultdict(list)
+
+    def resident(self):
+        """Resident lines: set index -> MRU-first tag tuple, non-empty sets."""
+        return {index: tuple(ways) for index, ways in self._sets.items()
+                if ways}
+
+    def clone(self):
+        """An independent copy: same config, resident lines and counters."""
+        twin = Cache(self.config)
+        twin._sets.update((index, ways[:])
+                          for index, ways in self._sets.items() if ways)
+        twin.hits = self.hits
+        twin.misses = self.misses
+        return twin
 
     @property
     def accesses(self):

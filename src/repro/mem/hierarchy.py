@@ -10,11 +10,13 @@ fast L1, ~12-cycle L2, ~80-cycle memory, ~30-cycle software TLB refill.
 
 Warm-state contract: a :class:`MemoryHierarchy` instance is part of the
 cross-engine warm state (:class:`repro.cpu.warm.WarmState`) — in
-two-speed mode the functional fast-forward and the detailed OOO windows
-share ONE instance, so all cache/TLB contents and hit/miss counters
-accumulate across engine hand-offs.  The model is therefore stateful
-only in ways both engines agree on: replacement state and the counters
-in :meth:`MemoryHierarchy.stats`.
+chained two-speed mode the functional fast-forward and the detailed OOO
+windows share ONE instance, so all cache/TLB contents and hit/miss
+counters accumulate across engine hand-offs; in batched mode each
+planned window runs on its own :meth:`MemoryHierarchy.clone`.  The model
+is therefore stateful only in ways both engines agree on: replacement
+state (:meth:`MemoryHierarchy.resident`) and the counters in
+:meth:`MemoryHierarchy.stats`.
 """
 
 from dataclasses import dataclass, field
@@ -29,6 +31,9 @@ _ITB_MISS = int(Event.ITB_MISS)
 _ICACHE_MISS = int(Event.ICACHE_MISS)
 _DTB_MISS = int(Event.DTB_MISS)
 _DCACHE_MISS = int(Event.DCACHE_MISS)
+
+# Attribute names of the stateful units (caches and TLBs).
+_UNITS = ("l1i", "l1d", "l2", "itlb", "dtlb")
 
 
 @dataclass(frozen=True)
@@ -124,13 +129,24 @@ class MemoryHierarchy:
 
     def stats(self):
         """Aggregate hit/miss counts for reporting."""
-        return {
-            "l1i": (self.l1i.hits, self.l1i.misses),
-            "l1d": (self.l1d.hits, self.l1d.misses),
-            "l2": (self.l2.hits, self.l2.misses),
-            "itlb": (self.itlb.hits, self.itlb.misses),
-            "dtlb": (self.dtlb.hits, self.dtlb.misses),
-        }
+        return {name: (getattr(self, name).hits, getattr(self, name).misses)
+                for name in _UNITS}
+
+    def resident(self):
+        """Resident contents of every unit: cache sets and TLB pages."""
+        return {name: getattr(self, name).resident() for name in _UNITS}
+
+    def clone(self):
+        """An independent hierarchy with every unit cloned.
+
+        The config (and any field a subclass adds) is shared; caches and
+        TLBs are copied, so accesses on either side never reach the other.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        for name in _UNITS:
+            setattr(twin, name, getattr(self, name).clone())
+        return twin
 
     def register_probes(self, registry, prefix="mem"):
         """Expose every level under ``mem.<unit>.*``.
@@ -139,7 +155,7 @@ class MemoryHierarchy:
         fraction per unit; the reads close over the live units, so a
         registry snapshot always reflects the warm shared state.
         """
-        for unit_name in ("l1i", "l1d", "l2", "itlb", "dtlb"):
+        for unit_name in _UNITS:
             unit = getattr(self, unit_name)
             base = "%s.%s" % (prefix, unit_name)
             registry.register(base + ".hits",

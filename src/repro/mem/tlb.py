@@ -58,6 +58,18 @@ class Tlb:
     def invalidate_all(self):
         self._pages = []
 
+    def resident(self):
+        """Resident page numbers, MRU first."""
+        return tuple(self._pages)
+
+    def clone(self):
+        """An independent copy: same config, resident pages and counters."""
+        twin = Tlb(self.config)
+        twin._pages = self._pages[:]
+        twin.hits = self.hits
+        twin.misses = self.misses
+        return twin
+
     @property
     def accesses(self):
         return self.hits + self.misses

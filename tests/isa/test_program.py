@@ -32,6 +32,33 @@ def test_fetch_valid_and_invalid():
     assert program.fetch_or_none(6) is None
 
 
+@pytest.mark.parametrize("pc,valid", [
+    (-4, False), (-1, False),  # negative
+    (2, False), (13, False),  # misaligned
+    (16, False), (20, False),  # one past the end, and beyond
+    (0, True), (12, True),  # first and last valid
+])
+def test_fetch_or_none_bounds(pc, valid):
+    instructions = [Instruction(op=Opcode.LDA, dest=1, src1=1, imm=k)
+                    for k in range(4)]
+    program = Program(instructions=instructions)
+    assert program.contains_pc(pc) is valid
+    if valid:
+        assert program.fetch_or_none(pc) is instructions[pc // 4]
+        assert program.fetch(pc) is instructions[pc // 4]
+    else:
+        assert program.fetch_or_none(pc) is None
+        with pytest.raises(ProgramError):
+            program.fetch(pc)
+
+
+def test_fetch_or_none_follows_replaced_image():
+    program = _program(4)
+    program.replace_instructions([Instruction(op=Opcode.NOP)] * 2)
+    assert program.fetch_or_none(4) is not None
+    assert program.fetch_or_none(8) is None
+
+
 def test_empty_program_rejected():
     with pytest.raises(ProgramError, match="no instructions"):
         Program(instructions=[])

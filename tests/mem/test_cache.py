@@ -91,7 +91,7 @@ class TestProperties:
         cache = small_cache(assoc=2, sets=4)
         for addr in addrs:
             cache.access(addr)
-        for ways in cache._sets:
+        for ways in cache.resident().values():
             assert len(ways) <= 2
             assert len(set(ways)) == len(ways)
 
